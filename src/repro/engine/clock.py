@@ -61,7 +61,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..algebra.shapes import ActionShape, classify_action
+from ..algebra.shapes import ActionShape
 from ..env.combine import combine_all
 from ..env.sharding import (
     ShardedEnvironment,
@@ -78,7 +78,8 @@ from ..obs import (
 from ..sgl import ast
 from ..sgl.analysis import analyze_script
 from ..sgl.builtins import FunctionRegistry
-from ..sgl.evalterm import EvalContext, eval_term
+from ..sgl.evalterm import EvalContext
+from .compile import CompiledAction, compile_action
 from .decision import DecisionRunner
 from .effects import AoeRecord, resolve_aoe
 from .evaluator import CallHint, IndexedEvaluator, NaiveEvaluator, collect_call_hints
@@ -504,10 +505,13 @@ class SimulationEngine:
         self._runners: dict[
             int, tuple[ast.Script, DecisionRunner, list[CallHint]]
         ] = {}
-        self._action_shapes: dict[str, ActionShape] = {
-            name: classify_action(fn.spec)
+        self._actions: dict[str, CompiledAction] = {
+            name: compile_action(fn, registry)
             for name, fn in registry.actions.items()
             if fn.spec is not None
+        }
+        self._action_shapes: dict[str, ActionShape] = {
+            name: action.shape for name, action in self._actions.items()
         }
 
     # -- worker pool lifecycle ----------------------------------------------------
@@ -1179,7 +1183,6 @@ class SimulationEngine:
         Eq.-(4) scan over all of ``E``.
         """
         from ..sgl.sqlspec import apply_action_scan
-        from .decision import apply_key_target
 
         builtin = self.registry.actions.get(name)
         if builtin is None:
@@ -1195,18 +1198,17 @@ class SimulationEngine:
         if builtin.native is not None:
             return list(builtin.native(args, ctx))
         bindings = dict(zip(builtin.params, args))
-        shape = self._action_shapes.get(name)
+        action = self._actions.get(name)
         if (
-            shape is not None
-            and shape.kind == "key"
+            action is not None
+            and action.key is not None
             and self._remote_by_key is not None
         ):
             probe_ctx = ctx.bind(bindings)
-            target_key = eval_term(shape.key_term, probe_ctx)
-            row = self._remote_by_key.get(target_key)
+            row = self._remote_by_key.get(action.key(probe_ctx))
             if row is None:
                 return []
-            new_row = apply_key_target(builtin, shape, probe_ctx, row)
+            new_row = action.apply_key(probe_ctx, row)
             return [] if new_row is None else [new_row]
         return list(apply_action_scan(builtin.spec, bindings, ctx))
 

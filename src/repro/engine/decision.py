@@ -20,24 +20,43 @@ Action application is itself classified (``repro.algebra.shapes``):
 
 The naive engine configuration uses scan for everything, matching the
 paper's baseline.
+
+Each script is compiled once, when its runner is built, into nested
+closures (:mod:`repro.engine.compile`); the chosen application path of
+every ``perform`` site is fixed at that point too.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from ..algebra.shapes import ActionShape, classify_action
 from ..sgl import ast
 from ..sgl.builtins import ActionFunction, FunctionRegistry
-from ..sgl.errors import SglNameError, SglTypeError
-from ..sgl.evalterm import EvalContext, eval_cond, eval_term
+from ..sgl.evalterm import EvalContext
 from ..sgl.sqlspec import apply_action_scan
+from .compile import (
+    AoeRecords,
+    BuiltinFn,
+    ByKey,
+    CompiledAction,
+    EffectRows,
+    compile_action,
+    compile_script,
+    eval_bounds,
+)
 from .effects import AoeRecord
 
 
 class DecisionRunner:
     """Executes one script's decisions for many units, appending effect
-    rows (and deferred AoE records) to shared per-tick collections."""
+    rows (and deferred AoE records) to shared per-tick collections.
+
+    The script is compiled to closures once, here
+    (:mod:`repro.engine.compile`).  With ``index_actions`` (the indexed
+    engine) its terms and conditions are compiled too; without it (the
+    naive engine) they run the reference interpreter, the oracle the
+    compiled closures are checked against.
+    """
 
     def __init__(
         self,
@@ -51,14 +70,11 @@ class DecisionRunner:
         self.registry = registry
         self.index_actions = index_actions
         self.defer_aoe = defer_aoe
-        self._action_shapes: dict[str, ActionShape] = {}
-
-    def _shape(self, action: ActionFunction) -> ActionShape:
-        shape = self._action_shapes.get(action.name)
-        if shape is None:
-            shape = classify_action(action.spec)
-            self._action_shapes[action.name] = shape
-        return shape
+        self._actions: dict[str, CompiledAction] = {}
+        self._main_params = script.main.params
+        self._main = compile_script(
+            script, registry, self._performer, interpret=not index_actions
+        )
 
     # -- per-unit execution ------------------------------------------------------
 
@@ -66,157 +82,104 @@ class DecisionRunner:
         self,
         unit: Mapping[str, object],
         ctx_factory: Callable[[Mapping[str, object]], EvalContext],
-        by_key: Mapping[object, Mapping[str, object]] | None,
-        out_rows: list,
-        out_aoe: list[AoeRecord],
+        by_key: ByKey,
+        out_rows: EffectRows,
+        out_aoe: AoeRecords,
     ) -> None:
         """Execute ``main`` for *unit*; *by_key* enables key actions."""
         ctx = ctx_factory(unit)
-        main = self.script.main
-        ctx.bindings[main.params[0]] = unit
-        self._action(main.body, ctx, by_key, out_rows, out_aoe)
+        ctx.bindings[self._main_params[0]] = unit
+        self._main(ctx, by_key, out_rows, out_aoe)
 
-    def _action(self, node, ctx, by_key, out_rows, out_aoe) -> None:
-        if isinstance(node, ast.Skip):
-            return
-        if isinstance(node, ast.Let):
-            value = eval_term(node.term, ctx)
-            inner = ctx.bind({node.name: value})
-            self._action(node.body, inner, by_key, out_rows, out_aoe)
-            return
-        if isinstance(node, ast.Seq):
-            self._action(node.first, ctx, by_key, out_rows, out_aoe)
-            self._action(node.second, ctx, by_key, out_rows, out_aoe)
-            return
-        if isinstance(node, ast.If):
-            if eval_cond(node.cond, ctx):
-                self._action(node.then_branch, ctx, by_key, out_rows, out_aoe)
-            elif node.else_branch is not None:
-                self._action(node.else_branch, ctx, by_key, out_rows, out_aoe)
-            return
-        if isinstance(node, ast.Perform):
-            self._perform(node, ctx, by_key, out_rows, out_aoe)
-            return
-        raise SglTypeError(f"cannot execute {node!r}")
+    # -- built-in action application ----------------------------------------------
 
-    def _perform(self, node, ctx, by_key, out_rows, out_aoe) -> None:
-        args = [eval_term(a, ctx) for a in node.args]
+    def _performer(self, builtin: ActionFunction) -> BuiltinFn:
+        """The closure applying *builtin* at one ``perform`` site: a key
+        lookup, a deferred AoE record, or the Eq.-(4) scan."""
+        params = builtin.params
+        if builtin.native is None and self.index_actions:
+            action = self._actions.get(builtin.name)
+            if action is None:
+                action = compile_action(builtin, self.registry)
+                self._actions[builtin.name] = action
+            kind = action.shape.kind
+            if kind == "key":
+                key = action.key
+                assert key is not None
 
-        defined = self.script.functions.get(node.name)
-        if defined is not None:
-            inner = EvalContext(
-                env=ctx.env,
-                registry=ctx.registry,
-                agg_eval=ctx.agg_eval,
-                rng=ctx.rng,
-                bindings=dict(zip(defined.params, args)),
-                unit=ctx.unit,
-            )
-            self._action(defined.body, inner, by_key, out_rows, out_aoe)
-            return
+                def perform_key(args, ctx, by_key, out_rows, out_aoe) -> None:
+                    if by_key is None:
+                        self._scan_action(builtin, args, ctx, out_rows)
+                        return
+                    probe_ctx = ctx.bind(dict(zip(params, args)))
+                    row = by_key.get(key(probe_ctx))
+                    if row is None:
+                        self._key_miss(builtin, args, ctx, out_rows)
+                        return
+                    new_row = action.apply_key(probe_ctx, row)
+                    if new_row is not None:
+                        out_rows.append(new_row)
 
-        builtin = self.registry.actions.get(node.name)
-        if builtin is None:
-            raise SglNameError(f"unknown action function {node.name!r}")
-        bindings = dict(zip(builtin.params, args))
+                return perform_key
+            if kind == "aoe" and self.defer_aoe:
 
+                def perform_aoe(args, ctx, by_key, out_rows, out_aoe) -> None:
+                    probe_ctx = ctx.bind(dict(zip(params, args)))
+                    record = _record_aoe(action, probe_ctx)
+                    if record is not None:
+                        out_aoe.append(record)
+
+                return perform_aoe
+
+        def perform_scan(args, ctx, by_key, out_rows, out_aoe) -> None:
+            self._scan_action(builtin, args, ctx, out_rows)
+
+        return perform_scan
+
+    def _scan_action(
+        self,
+        builtin: ActionFunction,
+        args: list[object],
+        ctx: EvalContext,
+        out_rows: EffectRows,
+    ) -> None:
+        """Native and scan-shaped actions: they range over all of E."""
         if builtin.native is not None:
             out_rows.extend(builtin.native(args, ctx))
             return
-
-        if self.index_actions:
-            shape = self._shape(builtin)
-            if shape.kind == "key" and by_key is not None:
-                self._apply_key_action(builtin, shape, bindings, ctx, by_key,
-                                       out_rows)
-                return
-            if shape.kind == "aoe" and self.defer_aoe:
-                record = self._record_aoe(builtin, shape, bindings, ctx)
-                if record is not None:
-                    out_aoe.append(record)
-                return
-
+        assert builtin.spec is not None
+        bindings = dict(zip(builtin.params, args))
         out_rows.extend(apply_action_scan(builtin.spec, bindings, ctx))
 
-    # -- key actions ---------------------------------------------------------------
-
-    def _apply_key_action(
-        self, builtin, shape: ActionShape, bindings, ctx, by_key, out_rows
+    def _key_miss(
+        self,
+        builtin: ActionFunction,
+        args: list[object],
+        ctx: EvalContext,
+        out_rows: EffectRows,
     ) -> None:
-        probe_ctx = ctx.bind(bindings)
-        target_key = eval_term(shape.key_term, probe_ctx)
-        row = by_key.get(target_key)
-        if row is None:
-            return
-        new_row = apply_key_target(builtin, shape, probe_ctx, row)
-        if new_row is not None:
-            out_rows.append(new_row)
-
-    # -- deferred AoE (Section 5.4) --------------------------------------------------
-
-    def _record_aoe(
-        self, builtin, shape: ActionShape, bindings, ctx
-    ) -> AoeRecord | None:
-        probe_ctx = ctx.bind(bindings)
-        for conjunct in shape.u_only:
-            if not eval_cond(conjunct, probe_ctx):
-                return None
-        bounds = []
-        for constraint in shape.ranges:
-            lo, hi = _eval_bounds(constraint, probe_ctx)
-            if lo > hi:
-                return None
-            bounds.append((lo, hi))
-        (xlo, xhi), (ylo, yhi) = bounds
-        return AoeRecord(
-            action=builtin.name,
-            attr=shape.effect_attr,
-            value=eval_term(shape.value_term, probe_ctx),
-            center=((xlo + xhi) / 2.0, (ylo + yhi) / 2.0),
-            extents=((xhi - xlo) / 2.0, (yhi - ylo) / 2.0),
-            eq_vals=tuple(
-                eval_term(c.value_term, probe_ctx) for c in shape.eq_cats
-            ),
-            neq_vals=tuple(
-                eval_term(c.value_term, probe_ctx) for c in shape.neq_cats
-            ),
-        )
+        """A key action whose target is not in ``by_key``: the target is
+        dead, so the action has no effect."""
 
 
-def apply_key_target(
-    builtin, shape: ActionShape, probe_ctx, row
-) -> dict | None:
-    """Evaluate a key action against its resolved target row.
-
-    The one shared body behind every key-action site -- the local
-    runner, the scoped runner's owned-target fast path, and the
-    coordinator's forwarded-action service -- so the extra-where
-    short-circuit and effect-term evaluation can never drift between
-    the serial, scoped, and forwarded code paths.  Returns the effect
-    row, or ``None`` when the residual predicate rejects the target.
-    """
-    probe_ctx.bindings["e"] = row
-    if not all(eval_cond(c, probe_ctx) for c in shape.extra_where):
+def _record_aoe(action: CompiledAction, probe_ctx: EvalContext) -> AoeRecord | None:
+    """The deferred area-of-effect record of one ``perform`` (Section
+    5.4), or ``None`` when its selection is provably empty."""
+    for check in action.u_only:
+        if not check(probe_ctx):
+            return None
+    bounds = eval_bounds(action.ranges, probe_ctx)
+    if bounds is None:
         return None
-    new_row = dict(row)
-    for attr, term in builtin.spec.effects.items():
-        new_row[attr] = eval_term(term, probe_ctx)
-    return new_row
-
-
-def _eval_bounds(constraint, probe_ctx) -> tuple[float, float]:
-    import math
-
-    lo = float("-inf")
-    for bound in constraint.lowers:
-        value = float(eval_term(bound.term, probe_ctx))
-        if bound.strict:
-            value = math.nextafter(value, float("inf"))
-        lo = max(lo, value)
-    hi = float("inf")
-    for bound in constraint.uppers:
-        value = float(eval_term(bound.term, probe_ctx))
-        if bound.strict:
-            value = math.nextafter(value, float("-inf"))
-        hi = min(hi, value)
-    return lo, hi
+    (xlo, xhi), (ylo, yhi) = bounds
+    shape = action.shape
+    assert action.value is not None and shape.effect_attr is not None
+    return AoeRecord(
+        action=action.function.name,
+        attr=shape.effect_attr,
+        value=action.value(probe_ctx),  # type: ignore[arg-type]
+        center=((xlo + xhi) / 2.0, (ylo + yhi) / 2.0),
+        extents=((xhi - xlo) / 2.0, (yhi - ylo) / 2.0),
+        eq_vals=tuple([fn(probe_ctx) for fn in action.eq_vals]),
+        neq_vals=tuple([fn(probe_ctx) for fn in action.neq_vals]),
+    )

@@ -49,7 +49,6 @@ battle simulation).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -63,11 +62,21 @@ from ..indexes.sweepline import sweep_arg_minmax
 from ..obs import NULL_REGISTRY, StatCounters
 from ..sgl import ast
 from ..sgl.builtins import AggregateFunction, FunctionRegistry
-from ..sgl.evalterm import EvalContext, eval_cond, eval_term
+from ..sgl.evalterm import EvalContext
 from ..sgl.interp import NaiveAggregateEvaluator
 from ..sgl.sqlspec import AggOutput, evaluate_aggregate_scan, finalize_outputs
 from ..sgl.values import Record
-from .compile import compile_e_filter, compile_e_term
+from .compile import (
+    CompiledRanges,
+    CondFn,
+    TermFn,
+    compile_cond,
+    compile_e_filter,
+    compile_e_term,
+    compile_ranges,
+    compile_term,
+    eval_bounds,
+)
 
 #: The naive evaluator is exactly the reference interpreter's.
 NaiveEvaluator = NaiveAggregateEvaluator
@@ -101,13 +110,23 @@ class CallHint:
 
 @dataclass
 class _CompiledShape:
-    """Per-aggregate static compilation artefacts."""
+    """Per-aggregate static compilation artefacts.
+
+    Row functions serve index builds; the probe-side closures (over the
+    probe's :class:`EvalContext`) serve every call.
+    """
 
     shape: AggregateShape
     measures: list = field(default_factory=list)  # RowFn per measured output
     measure_slot: list = field(default_factory=list)  # output idx -> slot/None
     build_filter: object = None  # RowPred | None (e-only conjuncts)
     value_fn: object = None  # RowFn for extreme value terms
+    u_only: tuple[CondFn, ...] = ()
+    eq_vals: tuple[TermFn, ...] = ()
+    neq_vals: tuple[TermFn, ...] = ()
+    ranges: CompiledRanges = ()
+    centers: tuple[TermFn, TermFn] | None = None  # nearest-neighbour centre
+    residual: tuple[CondFn, ...] = ()
 
 
 #: Mutation floor below which an incremental structure is never dropped.
@@ -159,6 +178,8 @@ class IndexedEvaluator:
         self.shard_of = shard_of if num_shards > 1 else None
         self.num_shards = num_shards if self.shard_of is not None else 1
         self._compiled: dict[str, _CompiledShape] = {}
+        #: compiled argument terms per hinted call site (keyed by value)
+        self._hint_fns: dict[CallHint, tuple[TermFn, ...]] = {}
         # per-tick caches (retained across ticks under delta maintenance)
         self._env: EnvironmentTable | None = None
         self._div_index: dict[str, PartitionedIndex] = {}
@@ -613,8 +634,24 @@ class IndexedEvaluator:
         if cached is not None:
             return cached
         shape = classify_aggregate(fn.spec)
-        compiled = _CompiledShape(shape=shape)
-        constants = self.registry.constants
+        registry = self.registry
+        compiled = _CompiledShape(
+            shape=shape,
+            u_only=tuple(compile_cond(c, registry) for c in shape.u_only),
+            eq_vals=tuple(compile_term(c.value_term, registry) for c in shape.eq_cats),
+            neq_vals=tuple(
+                compile_term(c.value_term, registry) for c in shape.neq_cats
+            ),
+            ranges=compile_ranges(shape.ranges, registry),
+            residual=tuple(compile_cond(c, registry) for c in shape.residual),
+        )
+        if shape.nearest_centers is not None:
+            cx, cy = shape.nearest_centers
+            compiled.centers = (
+                compile_term(cx, registry),
+                compile_term(cy, registry),
+            )
+        constants = registry.constants
         compiled.build_filter = compile_e_filter(shape.e_only, constants)
         if shape.kind == "divisible":
             slot = 0
@@ -632,6 +669,13 @@ class IndexedEvaluator:
         self._compiled[fn.name] = compiled
         return compiled
 
+    def _hint_args(self, hint: CallHint) -> tuple[TermFn, ...]:
+        fns = self._hint_fns.get(hint)
+        if fns is None:
+            fns = tuple(compile_term(t, self.registry) for t in hint.arg_terms)
+            self._hint_fns[hint] = fns
+        return fns
+
     # -- the AggregateEvaluator protocol --------------------------------------------
 
     def evaluate(
@@ -646,8 +690,8 @@ class IndexedEvaluator:
         bindings = dict(zip(function.params, args))
         probe_ctx = ctx.bind(bindings)
 
-        for conjunct in shape.u_only:
-            if not eval_cond(conjunct, probe_ctx):
+        for check in compiled.u_only:
+            if not check(probe_ctx):
                 return empty_aggregate_result(shape.outputs)
 
         if shape.kind == "divisible":
@@ -658,19 +702,16 @@ class IndexedEvaluator:
             result = self._eval_extreme(function, compiled, args, probe_ctx)
             if result is not NotImplemented:
                 return result
-        return self._eval_fallback(function, compiled, bindings, ctx)
+        return self._eval_fallback(function, compiled, bindings, ctx, probe_ctx)
 
     # -- shared probe helpers ---------------------------------------------------
 
+    @staticmethod
     def _cat_values(
-        self, shape: AggregateShape, probe_ctx: EvalContext
+        compiled: _CompiledShape, probe_ctx: EvalContext
     ) -> tuple[tuple, tuple]:
-        eq_vals = tuple(
-            eval_term(c.value_term, probe_ctx) for c in shape.eq_cats
-        )
-        neq_vals = tuple(
-            eval_term(c.value_term, probe_ctx) for c in shape.neq_cats
-        )
+        eq_vals = tuple([fn(probe_ctx) for fn in compiled.eq_vals])
+        neq_vals = tuple([fn(probe_ctx) for fn in compiled.neq_vals])
         return eq_vals, neq_vals
 
     @staticmethod
@@ -683,7 +724,7 @@ class IndexedEvaluator:
     def _matching_groups(
         self,
         index: PartitionedIndex,
-        shape: AggregateShape,
+        compiled: _CompiledShape,
         probe_ctx: EvalContext,
     ) -> list:
         """Sub-indexes matching the probe's category constraints.
@@ -693,7 +734,7 @@ class IndexedEvaluator:
         cross-shard answer merge (moments, nearest candidates, row
         concatenation) happens in one deterministic order.
         """
-        eq_vals, neq_vals = self._cat_values(shape, probe_ctx)
+        eq_vals, neq_vals = self._cat_values(compiled, probe_ctx)
         if self.shard_of is not None:
             if not neq_vals:
                 groups = []
@@ -715,34 +756,6 @@ class IndexedEvaluator:
             for key, group in index.groups.items()
             if self._group_matches(key, eq_vals, neq_vals)
         ]
-
-    def _bounds(
-        self, shape: AggregateShape, probe_ctx: EvalContext
-    ) -> list[tuple[float, float]] | None:
-        """Evaluate each range constraint to a closed [lo, hi] interval.
-
-        Strict bounds are tightened to the adjacent float, which is
-        exact for the values actually stored in the index.  Returns
-        ``None`` when some interval is empty.
-        """
-        bounds: list[tuple[float, float]] = []
-        for constraint in shape.ranges:
-            lo = -_INF
-            for bound in constraint.lowers:
-                value = float(eval_term(bound.term, probe_ctx))
-                if bound.strict:
-                    value = math.nextafter(value, _INF)
-                lo = max(lo, value)
-            hi = _INF
-            for bound in constraint.uppers:
-                value = float(eval_term(bound.term, probe_ctx))
-                if bound.strict:
-                    value = math.nextafter(value, -_INF)
-                hi = min(hi, value)
-            if lo > hi:
-                return None
-            bounds.append((lo, hi))
-        return bounds
 
     # -- divisible aggregates (Figure 8) -----------------------------------------
 
@@ -782,10 +795,10 @@ class IndexedEvaluator:
         index = self._ensure_div_index(fn, compiled)
         self._bump("probe_divisible")
 
-        groups = self._matching_groups(index, shape, probe_ctx)
+        groups = self._matching_groups(index, compiled, probe_ctx)
         if not groups:
             return empty_aggregate_result(shape.outputs)
-        bounds = self._bounds(shape, probe_ctx)
+        bounds = eval_bounds(compiled.ranges, probe_ctx)
         if bounds is None:
             return empty_aggregate_result(shape.outputs)
 
@@ -865,16 +878,14 @@ class IndexedEvaluator:
         index = self._ensure_kd_index(fn, compiled)
         self._bump("probe_kdtree")
 
-        groups = self._matching_groups(index, shape, probe_ctx)
-        cx, cy = shape.nearest_centers
-        center = (
-            float(eval_term(cx, probe_ctx)),
-            float(eval_term(cy, probe_ctx)),
-        )
-        bounds = self._bounds(shape, probe_ctx)
+        groups = self._matching_groups(index, compiled, probe_ctx)
+        assert compiled.centers is not None
+        cx, cy = compiled.centers
+        center = (float(cx(probe_ctx)), float(cy(probe_ctx)))  # type: ignore[arg-type]
+        bounds = eval_bounds(compiled.ranges, probe_ctx)
         if bounds is None:
             return None
-        predicate = self._row_predicate(shape, bounds, probe_ctx)
+        predicate = self._row_predicate(compiled, bounds, probe_ctx)
         exclude = (
             None if predicate is None else (lambda row: not predicate(row))
         )
@@ -907,23 +918,23 @@ class IndexedEvaluator:
             return None
         return Record(best_row) if compiled.shape.returns_row else best[0]
 
-    def _row_predicate(self, shape, bounds, probe_ctx):
+    def _row_predicate(self, compiled, bounds, probe_ctx):
         """Residual + range predicate for kD-tree candidate filtering."""
         checks = []
         if bounds:
-            range_attrs = shape.range_attrs
+            range_attrs = compiled.shape.range_attrs
             checks.append(
                 lambda row: all(
                     lo <= row[attr] <= hi
                     for attr, (lo, hi) in zip(range_attrs, bounds)
                 )
             )
-        if shape.residual:
-            residual = shape.residual
+        if compiled.residual:
+            residual = compiled.residual
 
             def residual_check(row, _ctx=probe_ctx, _residual=residual):
                 _ctx.bindings["e"] = row
-                return all(eval_cond(c, _ctx) for c in _residual)
+                return all(check(_ctx) for check in _residual)
 
             checks.append(residual_check)
         if not checks:
@@ -972,7 +983,6 @@ class IndexedEvaluator:
         self._bump("build_sweep")
         shape = compiled.shape
         key_attr = self.key_attr
-        constants = self.registry.constants
         shard_of = self.shard_of
 
         sources = self._filtered_rows(compiled)
@@ -1000,6 +1010,7 @@ class IndexedEvaluator:
         for hint, units in self._hints:
             if hint.function != fn.name:
                 continue
+            arg_fns = self._hint_args(hint)
             for unit in units:
                 ctx = EvalContext(
                     env=self._env,
@@ -1009,11 +1020,11 @@ class IndexedEvaluator:
                     bindings={hint.unit_param: unit},
                     unit=unit,
                 )
-                arg_values = [eval_term(t, ctx) for t in hint.arg_terms]
+                arg_values = [f(ctx) for f in arg_fns]
                 probe_ctx = ctx.bind(dict(zip(fn.params, arg_values)))
                 skip = False
-                for conjunct in shape.u_only:
-                    if not eval_cond(conjunct, probe_ctx):
+                for check in compiled.u_only:
+                    if not check(probe_ctx):
                         skip = True
                         break
                 signature = _args_signature(arg_values, key_attr)
@@ -1021,7 +1032,7 @@ class IndexedEvaluator:
                     # u-only predicate failed: empty selection
                     batch[signature] = None
                     continue
-                bounds = self._bounds(shape, probe_ctx)
+                bounds = eval_bounds(compiled.ranges, probe_ctx)
                 if bounds is None:
                     batch[signature] = None
                     continue
@@ -1029,7 +1040,7 @@ class IndexedEvaluator:
                 rx = (xhi - xlo) / 2.0
                 ry = (yhi - ylo) / 2.0
                 center = ((xlo + xhi) / 2.0, (ylo + yhi) / 2.0)
-                eq_vals, neq_vals = self._cat_values(shape, probe_ctx)
+                eq_vals, neq_vals = self._cat_values(compiled, probe_ctx)
                 group_key = (eq_vals, neq_vals, round(rx, 9), round(ry, 9))
                 groups.setdefault(group_key, []).append((signature, center))
 
@@ -1087,12 +1098,12 @@ class IndexedEvaluator:
         compiled: _CompiledShape,
         bindings: dict[str, object],
         ctx: EvalContext,
+        probe_ctx: EvalContext,
     ) -> object:
         shape = compiled.shape
         index = self._ensure_row_index(fn, compiled)
         self._bump("probe_scan")
-        probe_ctx = ctx.bind(bindings)
-        groups = self._matching_groups(index, shape, probe_ctx)
+        groups = self._matching_groups(index, compiled, probe_ctx)
         if not groups:
             return empty_aggregate_result(shape.outputs)
         rows: list = []

@@ -99,11 +99,11 @@ from ..serve.transport import (
 )
 from ..sgl import ast
 from ..sgl.analysis import analyze_script
-from ..sgl.builtins import FunctionRegistry
-from ..sgl.errors import SglNameError
-from ..sgl.evalterm import EvalContext, eval_cond, eval_term
+from ..sgl.builtins import ActionFunction, FunctionRegistry
+from ..sgl.evalterm import EvalContext
 from ..sgl.values import Record
-from .decision import DecisionRunner, apply_key_target
+from .compile import EffectRows, eval_bounds
+from .decision import DecisionRunner
 from .effects import AoeRecord
 from .evaluator import (
     IndexedEvaluator,
@@ -296,15 +296,15 @@ class ScopedEvaluator(IndexedEvaluator):
         bindings = dict(zip(function.params, args))
         probe_ctx = ctx.bind(bindings)
 
-        for conjunct in shape.u_only:
-            if not eval_cond(conjunct, probe_ctx):
+        for check in compiled.u_only:
+            if not check(probe_ctx):
                 return empty_aggregate_result(shape.outputs)
 
         if shape.kind == "nearest":
             return self._eval_nearest_scoped(
                 function, compiled, args, probe_ctx
             )
-        if self._window_is_owned(shape, probe_ctx):
+        if self._window_is_owned(compiled, probe_ctx):
             self._bump("scoped_local")
             if shape.kind == "divisible":
                 return self._eval_divisible(function, compiled, probe_ctx)
@@ -314,12 +314,14 @@ class ScopedEvaluator(IndexedEvaluator):
                 )
                 if result is not NotImplemented:
                     return result
-            return self._eval_fallback(function, compiled, bindings, ctx)
-        return self._forward(function, args, shape, probe_ctx, ctx.unit)
+            return self._eval_fallback(
+                function, compiled, bindings, ctx, probe_ctx
+            )
+        return self._forward(function, args, compiled, probe_ctx, ctx.unit)
 
     # -- locality proofs ----------------------------------------------------------
 
-    def _window_is_owned(self, shape, probe_ctx) -> bool:
+    def _window_is_owned(self, compiled, probe_ctx) -> bool:
         """True when every row the probe can select lives in owned shards.
 
         Requires spatial sharding and a range constraint on the
@@ -334,10 +336,10 @@ class ScopedEvaluator(IndexedEvaluator):
         if width is None:
             return False
         try:
-            axis = shape.range_attrs.index(self._x_attr)
+            axis = compiled.shape.range_attrs.index(self._x_attr)
         except ValueError:
             return False  # no window on the sharding axis: may span all
-        bounds = self._bounds(shape, probe_ctx)
+        bounds = eval_bounds(compiled.ranges, probe_ctx)
         if bounds is None:
             return True  # empty selection everywhere: local == global
         xlo, xhi = bounds[axis]
@@ -370,7 +372,7 @@ class ScopedEvaluator(IndexedEvaluator):
 
     def _eval_nearest_scoped(self, fn, compiled, args, probe_ctx):
         shape = compiled.shape
-        if self._window_is_owned(shape, probe_ctx):
+        if self._window_is_owned(compiled, probe_ctx):
             self._bump("scoped_local")
             return self._eval_nearest(fn, compiled, probe_ctx)
         if self._strip_width is None:
@@ -405,19 +407,19 @@ class ScopedEvaluator(IndexedEvaluator):
 
     # -- forwarding ---------------------------------------------------------------
 
-    def _forward(self, function, args, shape, probe_ctx, unit):
+    def _forward(self, function, args, compiled, probe_ctx, unit):
         memo_key = None
         if (
-            shape is not None
-            and shape.kind in ("divisible", "extreme")
-            and not shape.residual
+            compiled is not None
+            and compiled.shape.kind in ("divisible", "extreme")
+            and not compiled.shape.residual
         ):
             # the answer is a pure function of (category values, range
             # bounds): safe to share across every unit that asks the
             # same question of the same state
             try:
-                eq_vals, neq_vals = self._cat_values(shape, probe_ctx)
-                bounds = self._bounds(shape, probe_ctx)
+                eq_vals, neq_vals = self._cat_values(compiled, probe_ctx)
+                bounds = eval_bounds(compiled.ranges, probe_ctx)
                 memo_key = (
                     function.name,
                     eq_vals,
@@ -465,55 +467,30 @@ class _ScopedDecisionRunner(DecisionRunner):
         self._remote = remote
         self._owns_all = owns_all
 
-    def _perform(self, node, ctx, by_key, out_rows, out_aoe) -> None:
+    def _scan_action(
+        self,
+        builtin: ActionFunction,
+        args: list[object],
+        ctx: EvalContext,
+        out_rows: EffectRows,
+    ) -> None:
         if self._owns_all:
-            super()._perform(node, ctx, by_key, out_rows, out_aoe)
+            super()._scan_action(builtin, args, ctx, out_rows)
             return
-        args = [eval_term(a, ctx) for a in node.args]
-
-        defined = self.script.functions.get(node.name)
-        if defined is not None:
-            inner = EvalContext(
-                env=ctx.env,
-                registry=ctx.registry,
-                agg_eval=ctx.agg_eval,
-                rng=ctx.rng,
-                bindings=dict(zip(defined.params, args)),
-                unit=ctx.unit,
-            )
-            self._action(defined.body, inner, by_key, out_rows, out_aoe)
-            return
-
-        builtin = self.registry.actions.get(node.name)
-        if builtin is None:
-            raise SglNameError(f"unknown action function {node.name!r}")
-
-        if builtin.native is None and self.index_actions:
-            shape = self._shape(builtin)
-            bindings = dict(zip(builtin.params, args))
-            if shape.kind == "key" and by_key is not None:
-                probe_ctx = ctx.bind(bindings)
-                target_key = eval_term(shape.key_term, probe_ctx)
-                row = by_key.get(target_key)
-                if row is not None:
-                    # owned target: the parent's local key-action path
-                    new_row = apply_key_target(builtin, shape, probe_ctx, row)
-                    if new_row is not None:
-                        out_rows.append(new_row)
-                    return
-                # unowned (or dead) target: only the coordinator knows
-                out_rows.extend(
-                    self._remote("action", node.name, args, ctx.unit)
-                )
-                return
-            if shape.kind == "aoe" and self.defer_aoe:
-                record = self._record_aoe(builtin, shape, bindings, ctx)
-                if record is not None:
-                    out_aoe.append(record)
-                return
-
         # native / scan / unclassified actions range over all of E
-        out_rows.extend(self._remote("action", node.name, args, ctx.unit))
+        out_rows.extend(self._remote("action", builtin.name, args, ctx.unit))
+
+    def _key_miss(
+        self,
+        builtin: ActionFunction,
+        args: list[object],
+        ctx: EvalContext,
+        out_rows: EffectRows,
+    ) -> None:
+        if self._owns_all:
+            return
+        # unowned (or dead) target: only the coordinator knows
+        out_rows.extend(self._remote("action", builtin.name, args, ctx.unit))
 
 
 # ---------------------------------------------------------------------------

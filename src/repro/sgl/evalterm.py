@@ -15,7 +15,7 @@ differ only in the aggregate evaluator they install here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol
 
 from . import ast
@@ -77,7 +77,9 @@ class EvalContext:
         """A child context with additional bindings (used by ``let``)."""
         merged = dict(self.bindings)
         merged.update(extra)
-        return replace(self, bindings=merged)
+        return EvalContext(
+            self.env, self.registry, self.agg_eval, self.rng, merged, self.unit
+        )
 
     def lookup(self, name: str) -> object:
         try:

@@ -17,7 +17,7 @@ SGL terms evaluate to:
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 from .errors import SglRuntimeError, SglTypeError
 
