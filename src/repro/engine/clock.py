@@ -16,8 +16,8 @@ environment (the partition of ``E`` by a configurable shard key --
 2. **decision** -- every unit executes its script, shard at a time;
    per-shard effect rows (and deferred AoE records) accumulate.  Shards
    are independent -- scripts read the tick-start snapshot and write
-   fresh effect rows -- so this stage fans out across parallel workers
-   (``parallelism="threads"``/``"processes"``);
+   fresh effect rows -- so this stage can fan out across worker
+   processes (``parallelism="processes"``);
 3. **second index build + action** -- deferred area effects gathered
    from all shards resolve through the ⊕ optimisation of Section 5.4,
    one resolution per target shard (this is the paper's "second index
@@ -57,7 +57,6 @@ Both produce identical trajectories; only the wall-clock differs.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -181,12 +180,9 @@ class EngineConfig:
       ``posx``, requires ``spatial_extent``) or any const attribute name
       (``"key"``, ``"player"``, ...) hashed process-stably;
     * ``parallelism`` -- ``"serial"`` runs shards one after another,
-      ``"threads"`` fans the decision/AoE stages out over a thread pool
-      (a real speedup on free-threaded CPython; correctness-equivalent
-      under the GIL), ``"processes"`` runs shard decisions in worker
-      processes built from ``worker_factory`` (see
-      ``repro.engine.shardexec``);
-    * ``max_workers`` -- pool size (default: ``num_shards``);
+      ``"processes"`` runs shard decisions in worker processes built
+      from ``worker_factory`` (see ``repro.engine.shardexec``);
+    * ``max_workers`` -- process pool size (default: ``num_shards``);
     * ``worker_broadcast`` -- how process workers' replicas of ``E`` are
       kept current: ``"delta"`` (default) ships the epoch-versioned
       per-tick change set (:class:`~repro.env.sharding.ReplicaDelta`)
@@ -296,7 +292,7 @@ class EngineConfig:
     num_shards: int = 1
     shard_by: str = "key"  # "spatial" | const attribute name
     spatial_extent: float | None = None
-    parallelism: str = "serial"  # "serial" | "threads" | "processes"
+    parallelism: str = "serial"  # "serial" | "processes"
     max_workers: int | None = None
     worker_broadcast: str = "delta"  # "delta" | "snapshot"
     #: Picklable module-level callable returning a
@@ -334,9 +330,9 @@ class SimulationEngine:
     simulation dispatches on unit type); *mechanics* is the game's
     post-processing step.
 
-    Engines that use a worker pool (``parallelism`` other than
-    ``"serial"``) should be :meth:`close`\\ d when done -- or used as a
-    context manager -- to shut the pool down promptly.
+    Engines that use a worker pool (``parallelism="processes"``) should
+    be :meth:`close`\\ d when done -- or used as a context manager -- to
+    shut the pool down promptly.
     """
 
     def __init__(
@@ -359,7 +355,7 @@ class SimulationEngine:
             raise ValueError(
                 f"unknown index_maintenance {cfg.index_maintenance!r}"
             )
-        if cfg.parallelism not in ("serial", "threads", "processes"):
+        if cfg.parallelism not in ("serial", "processes"):
             raise ValueError(f"unknown parallelism {cfg.parallelism!r}")
         if cfg.worker_broadcast not in ("delta", "snapshot"):
             raise ValueError(
@@ -424,9 +420,8 @@ class SimulationEngine:
             cfg.num_shards,
             extent=cfg.spatial_extent,
         )
-        self._parallel = cfg.parallelism != "serial" and cfg.num_shards > 1
         self._processes = cfg.parallelism == "processes" and cfg.num_shards > 1
-        self._pool = None  # ThreadPoolExecutor | ReplicaWorkerPool
+        self._pool = None  # ReplicaWorkerPool | None
 
         # observability: instruments are resolved once, here, so the
         # tick loop mutates pre-bound cells (no-op cells when metrics
@@ -473,7 +468,7 @@ class SimulationEngine:
 
         # change capture: the delta diffed at the end of tick t is
         # consumed at t+1, either by the parent evaluator's incremental
-        # maintenance (serial/threads) or -- encoded as an epoch-stamped
+        # maintenance (serial) or -- encoded as an epoch-stamped
         # ReplicaDelta -- by the process workers' replica broadcast and
         # the spectator publish stage.
         self._pending_delta: TableDelta | None = None
@@ -518,52 +513,46 @@ class SimulationEngine:
 
     def _ensure_pool(self):
         if self._pool is None:
+            from .shardexec import ReplicaWorkerPool
+
             cfg = self.config
-            if self._processes:
-                from .shardexec import ReplicaWorkerPool
+            payload = {
+                "mode": cfg.mode,
+                "optimize_aoe": cfg.optimize_aoe,
+                "cascade": cfg.cascade,
+                "seed": cfg.seed,
+                "shard_conf": self._shard_conf,
+                "worker_scope": cfg.worker_scope,
+            }
+            if self._worker_endpoints is not None:
+                from ..serve.transport import DEFAULT_MAX_FRAME
 
-                payload = {
-                    "mode": cfg.mode,
-                    "optimize_aoe": cfg.optimize_aoe,
-                    "cascade": cfg.cascade,
-                    "seed": cfg.seed,
-                    "shard_conf": self._shard_conf,
-                    "worker_scope": cfg.worker_scope,
-                }
-                if self._worker_endpoints is not None:
-                    from ..serve.transport import DEFAULT_MAX_FRAME
-
-                    self._pool = ReplicaWorkerPool(
-                        cfg.worker_factory,
-                        payload,
-                        endpoints=self._worker_endpoints,
-                        max_frame=cfg.worker_max_frame or DEFAULT_MAX_FRAME,
-                        io_timeout=cfg.worker_timeout,
-                        metrics=self.metrics,
-                        trace=self.trace,
-                    )
-                else:
-                    import multiprocessing
-
-                    methods = multiprocessing.get_all_start_methods()
-                    ctx = multiprocessing.get_context(
-                        "fork" if "fork" in methods else "spawn"
-                    )
-                    workers = min(
-                        cfg.max_workers or cfg.num_shards, cfg.num_shards
-                    )
-                    self._pool = ReplicaWorkerPool(
-                        cfg.worker_factory,
-                        payload,
-                        workers,
-                        ctx,
-                        metrics=self.metrics,
-                        trace=self.trace,
-                    )
+                self._pool = ReplicaWorkerPool(
+                    cfg.worker_factory,
+                    payload,
+                    endpoints=self._worker_endpoints,
+                    max_frame=cfg.worker_max_frame or DEFAULT_MAX_FRAME,
+                    io_timeout=cfg.worker_timeout,
+                    metrics=self.metrics,
+                    trace=self.trace,
+                )
             else:
-                workers = cfg.max_workers or cfg.num_shards
-                self._pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-shard"
+                import multiprocessing
+
+                methods = multiprocessing.get_all_start_methods()
+                ctx = multiprocessing.get_context(
+                    "fork" if "fork" in methods else "spawn"
+                )
+                workers = min(
+                    cfg.max_workers or cfg.num_shards, cfg.num_shards
+                )
+                self._pool = ReplicaWorkerPool(
+                    cfg.worker_factory,
+                    payload,
+                    workers,
+                    ctx,
+                    metrics=self.metrics,
+                    trace=self.trace,
                 )
         return self._pool
 
@@ -594,10 +583,7 @@ class SimulationEngine:
             self.epoch_log = None
             self._refresh_capture_flags()
         if self._pool is not None:
-            if hasattr(self._pool, "shutdown"):
-                self._pool.shutdown(wait=True)
-            else:
-                self._pool.close()
+            self._pool.close()
             self._pool = None
         if self._prom_server is not None:
             self._prom_server.shutdown()
@@ -712,8 +698,6 @@ class SimulationEngine:
         resume: bool = False,
         state_fn: Callable[[], dict] | None = None,
         meta: dict | None = None,
-        checkpoint_every: int | None = None,
-        fsync: str | None = None,
     ):
         """Start logging every post-tick state to *path*; returns the writer.
 
@@ -729,7 +713,9 @@ class SimulationEngine:
         crash-recovery path, after :func:`~repro.persist.log
         .truncate_torn_tail` -- instead of starting a fresh file.
         Either way the current state is immediately appended as a full
-        checkpoint, so the log always chains from a durable base.
+        checkpoint, so the log always chains from a durable base.  The
+        writer takes its cadence and fsync policy from the config, and
+        ``config.epoch_log`` records *path*.
         """
         from ..persist.log import EpochLogWriter
 
@@ -738,16 +724,13 @@ class SimulationEngine:
         cfg = self.config
         self.epoch_log = EpochLogWriter(
             path,
-            checkpoint_every=(
-                checkpoint_every
-                if checkpoint_every is not None
-                else cfg.epoch_log_checkpoint_every
-            ),
-            fsync=fsync if fsync is not None else cfg.epoch_log_fsync,
+            checkpoint_every=cfg.epoch_log_checkpoint_every,
+            fsync=cfg.epoch_log_fsync,
             resume=resume,
             metrics=self.metrics,
             trace=self.trace,
         )
+        cfg.epoch_log = path
         self._epoch_log_state_fn = state_fn
         self._refresh_capture_flags()
         if not resume:
@@ -871,7 +854,6 @@ class SimulationEngine:
             cfg.shard_by, cfg.num_shards, extent=cfg.spatial_extent
         )
         self._shard_conf = conf
-        self._parallel = cfg.parallelism != "serial" and cfg.num_shards > 1
         self._processes = (
             cfg.parallelism == "processes" and cfg.num_shards > 1
         )
@@ -914,19 +896,14 @@ class SimulationEngine:
 
     def _shard_tasks(
         self, sharded: ShardedEnvironment
-    ) -> tuple[list[_ShardTask], list[tuple[CallHint, list]], set[str]]:
+    ) -> tuple[list[_ShardTask], list[tuple[CallHint, list]]]:
         """Group each shard's units by script and resolve their runners.
 
-        Runner resolution happens here, in the main thread, because the
-        runner cache is an LRU dict that must not be mutated from
-        decision workers.  Returns the per-shard task lists, the
-        (hint, probe units) pairs for sweep batching, and the set of
-        hinted aggregate names (for eager index builds under
-        parallelism).
+        Returns the per-shard task lists and the (hint, probe units)
+        pairs for sweep batching.
         """
         tasks: list[_ShardTask] = []
         hint_pairs: list[tuple[CallHint, list]] = []
-        hinted: set[str] = set()
         for shard in sharded.shards:
             groups: dict[int, tuple[ast.Script, list]] = {}
             for row in shard.rows:
@@ -938,9 +915,8 @@ class SimulationEngine:
                 task.append((entry[1], units))
                 for hint in entry[2]:
                     hint_pairs.append((hint, units))
-                    hinted.add(hint.function)
             tasks.append(task)
-        return tasks, hint_pairs, hinted
+        return tasks, hint_pairs
 
     def _run_decision(
         self,
@@ -1236,23 +1212,18 @@ class SimulationEngine:
         # stage 1: (re)arm the evaluator; pass sweep-batch hints.  With
         # delta maintenance enabled this is where last tick's captured
         # delta patches the retained per-shard indexes instead of
-        # discarding them.  Parallel engines also eagerly build the
-        # hinted indexes so decision workers never build concurrently.
+        # discarding them.
         maintenance_time = 0.0
         by_key = None
         if self._processes:
             shard_tasks = None
         else:
-            shard_tasks, hint_pairs, hinted = self._shard_tasks(sharded)
+            shard_tasks, hint_pairs = self._shard_tasks(sharded)
             if self.indexed:
                 t0 = time.perf_counter()
                 self.agg_eval.begin_tick(
                     env, hint_pairs, delta=self._pending_delta
                 )
-                if self._parallel:
-                    # canonical order: index build sequence must not
-                    # depend on set iteration order
-                    self.agg_eval.prepare(sorted(hinted))
                 t1 = time.perf_counter()
                 maintenance_time += t1 - t0
                 if trace is not None:
@@ -1266,13 +1237,6 @@ class SimulationEngine:
         t0 = time.perf_counter()
         if self._processes:
             shard_results = self._decide_processes(sharded)
-        elif self._parallel:
-            pool = self._ensure_pool()
-            futures = [
-                pool.submit(self._run_decision, task, by_key, env)
-                for task in shard_tasks
-            ]
-            shard_results = [f.result() for f in futures]
         else:
             shard_results = [
                 self._run_decision(task, by_key, env) for task in shard_tasks
@@ -1294,25 +1258,12 @@ class SimulationEngine:
         aoe_rows_by_shard: list[list[dict[str, object]]] = []
         if all_aoe:
             constants = self.registry.constants
-
-            def resolve_shard(shard: EnvironmentTable) -> list:
-                return resolve_aoe(
-                    all_aoe,
-                    shard.rows,
-                    schema,
-                    self._action_shapes,
-                    constants,
+            aoe_rows_by_shard = [
+                resolve_aoe(
+                    all_aoe, shard.rows, schema, self._action_shapes, constants
                 )
-
-            if self._parallel and not self._processes:
-                pool = self._ensure_pool()
-                aoe_rows_by_shard = list(
-                    pool.map(resolve_shard, sharded.shards)
-                )
-            else:
-                aoe_rows_by_shard = [
-                    resolve_shard(shard) for shard in sharded.shards
-                ]
+                for shard in sharded.shards
+            ]
         t1 = time.perf_counter()
         aoe_time = t1 - t0
         if trace is not None:
@@ -1358,7 +1309,7 @@ class SimulationEngine:
         # change capture: diff the post-mechanics environment against the
         # tick-start snapshot (mechanics copies rows, so *env* still holds
         # the pre-tick values).  Consumed at t+1 by the parent evaluator's
-        # begin_tick (serial/threads) or, encoded as an epoch-stamped
+        # begin_tick (serial) or, encoded as an epoch-stamped
         # ReplicaDelta, by the process workers' replica broadcast.
         if (
             self._capture_env_delta

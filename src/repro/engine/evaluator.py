@@ -340,34 +340,6 @@ class IndexedEvaluator:
         self._hints = []
         self._env = None
 
-    def prepare(self, fn_names: Iterable[str]) -> None:
-        """Eagerly build everything the named aggregates probe this tick.
-
-        The staged pipeline calls this between ``begin_tick`` and the
-        parallel decision stage so that worker threads only *read* the
-        index structures; without it the lazily-built indexes would race
-        on first probe.  Serial engines skip it and keep the original
-        build-on-first-probe behaviour (a tick that never probes an
-        aggregate then never pays for its index).
-        """
-        for name in fn_names:
-            fn = self.registry.aggregates.get(name)
-            if fn is None or fn.native is not None or fn.spec is None:
-                continue
-            compiled = self._compiled_shape(fn)
-            kind = compiled.shape.kind
-            if kind == "divisible":
-                self._ensure_div_index(fn, compiled)
-            elif kind == "nearest":
-                self._ensure_kd_index(fn, compiled)
-            elif kind == "extreme":
-                if fn.name not in self._batches:
-                    self._build_extreme_batches(fn, compiled)
-                # dynamic (unhinted) call sites fall back to the scan
-                self._ensure_row_index(fn, compiled)
-            else:
-                self._ensure_row_index(fn, compiled)
-
     def _should_apply(self, delta: TableDelta | None) -> bool:
         if self.maintenance == "rebuild" or delta is None or self._env is None:
             return False

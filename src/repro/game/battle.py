@@ -10,7 +10,7 @@ at a position chosen uniformly at random on the grid").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from ..engine.clock import EngineConfig, SimulationEngine, TickStats
@@ -44,6 +44,14 @@ def battle_worker_game() -> WorkerGame:
 #: state.  Bump when the persisted dict's shape changes incompatibly.
 SAVE_FORMAT = 1
 
+#: EngineConfig fields the battle derives itself.
+_BATTLE_OWNED = ("spatial_extent", "worker_factory")
+
+#: EngineConfig fields left out of the save/log recipe: the log path is
+#: attached only after the rows are restored, and a loaded run tracing
+#: over the original trace file would clobber it.
+_UNRECORDED = frozenset({"epoch_log", "trace_path", *_BATTLE_OWNED})
+
 
 @dataclass
 class BattleSummary:
@@ -70,81 +78,26 @@ class BattleSimulation:
         Total units across both players.
     density:
         Fraction of grid cells occupied (the paper fixes 1%).
-    mode:
-        ``"indexed"`` or ``"naive"`` -- the two evaluators of Section 6.
     formation:
         ``"uniform"`` (the paper's setup) or ``"two_army"`` (clustered).
+    composition:
+        Unit-type fractions (default: the scenario's standard mix).
+    seed:
+        Seeds the scenario layout and the engine's random function.
     resurrection:
         Keep the population constant by resurrecting the dead (on for
         benchmarks, off for gameplay-style examples).
-    index_maintenance:
-        ``"rebuild"`` (per-tick from-scratch, the paper's default),
-        ``"incremental"`` (patch retained indexes with the row delta),
-        or ``"auto"`` (cost-based choice per tick).  The battle's
-        measures are all integer-valued, so trajectories are
-        bit-identical in all three.
-    incremental_threshold:
-        Changed-row fraction above which ``"auto"`` rebuilds instead of
-        applying the delta (default 0.25; the bootstrap rule when
-        *auto_policy* is ``"ewma"``).
-    auto_policy:
-        ``"ewma"`` (default) learns the rebuild-vs-delta cost crossover
-        from timing history; ``"threshold"`` keeps the single
-        changed-fraction rule.
-    num_shards / shard_by / parallelism / max_workers:
-        The sharded tick pipeline: partition ``E`` into *num_shards*
-        shards by *shard_by* (``"spatial"`` = vertical map strips,
-        otherwise a hashed const attribute such as ``"key"`` or
-        ``"player"``) and run per-shard decision/effect stages under
-        *parallelism* (``"serial"`` | ``"threads"`` | ``"processes"``).
-        Trajectories are bit-identical to the 1-shard serial engine for
-        every combination (all battle measures are integer-valued).
-    worker_broadcast:
-        How process workers' replicas of ``E`` stay current:
-        ``"delta"`` (default) ships the per-tick change set with a
-        replica epoch, falling back to full snapshots only when a
-        worker cannot apply it; ``"snapshot"`` re-broadcasts all rows
-        every tick.  Trajectories are bit-identical either way; only
-        the bytes shipped per tick differ.
-    workers / worker_scope:
-        Where the decision workers run and how much of ``E`` they hold.
-        ``workers="local"`` (default) spawns pipe-connected processes on
-        this host; a list of ``"host:port"`` endpoints connects to
-        remote workers started with ``python -m repro.engine.shardexec
-        --listen``.  ``worker_scope="shards"`` enables the per-shard
-        probe split: each worker replicates and indexes only its own
-        shards, forwarding non-local probes to the coordinator.  All
-        combinations are bit-identical to the serial engine.
-        *worker_timeout* / *worker_max_frame* are the remote transport
-        knobs (per-message socket timeout; frame-size guard, which must
-        admit a full snapshot of the environment).
-    spectators / spectator_broadcast:
-        ``spectators=True`` opens a loopback
-        :class:`~repro.serve.publisher.ReplicaPublisher`
-        (``spectator_address`` names the endpoint) and streams every
-        post-tick state to subscribed read replicas;
-        :meth:`spawn_spectator` starts one wired to this battle's game
-        factory.  Spectators are read-only: they cannot affect the
-        trajectory.
-    epoch_log / epoch_log_checkpoint_every / epoch_log_fsync:
-        *epoch_log* names a file the engine appends every post-tick
-        state to (the durable epoch log of :mod:`repro.persist`):
-        deltas when they chain, full-snapshot checkpoints every
-        *epoch_log_checkpoint_every* epochs, battle counters alongside
-        each record.  *epoch_log_fsync* picks durability (``"never"`` |
-        ``"checkpoint"`` | ``"always"``).  A logged battle supports
-        crash recovery via :meth:`recover`; :meth:`save` / :meth:`load`
-        work with or without a log.
-    metrics / trace_path / slow_tick_factor:
-        The observability knobs of :mod:`repro.obs`.  ``metrics=True``
-        attaches a process-local metrics registry (the :attr:`metrics`
-        property; serve it over HTTP with :meth:`serve_metrics`);
-        *trace_path* records every tick stage, worker round trip,
-        publish fan-out, and epoch-log write as a Chrome trace-event
-        file; *slow_tick_factor* arms the slow-tick watchdog (flag any
-        tick slower than ``factor`` x the EWMA of recent ticks, with a
-        per-stage breakdown).  All three are read-only diagnostics:
-        trajectories are bit-identical with them on or off.
+    **engine:
+        Any other :class:`~repro.engine.clock.EngineConfig` field --
+        ``mode``, ``index_maintenance``, ``num_shards``,
+        ``parallelism``, ``spectators``, ``epoch_log``, ``metrics``, ...
+        -- documented there.  The battle sets ``spatial_extent`` (its
+        grid size) and ``worker_factory`` itself.  The battle's measures
+        are integer-valued, so trajectories are bit-identical under
+        every engine knob.  With ``spectators=True``,
+        :meth:`spawn_spectator` starts a read replica; with
+        ``epoch_log``, :meth:`recover` restarts a crashed battle;
+        :meth:`save` / :meth:`load` work with or without a log.
     """
 
     def __init__(
@@ -152,34 +105,18 @@ class BattleSimulation:
         n_units: int,
         *,
         density: float = 0.01,
-        mode: str = "indexed",
         formation: str = "uniform",
         composition: Mapping[str, float] | None = None,
         seed: int = 0,
         resurrection: bool = True,
-        optimize_aoe: bool = True,
-        cascade: bool = True,
-        index_maintenance: str = "rebuild",
-        incremental_threshold: float = 0.25,
-        auto_policy: str = "ewma",
-        num_shards: int = 1,
-        shard_by: str = "key",
-        parallelism: str = "serial",
-        max_workers: int | None = None,
-        worker_broadcast: str = "delta",
-        workers: object = "local",
-        worker_scope: str = "full",
-        worker_timeout: float | None = 60.0,
-        worker_max_frame: int | None = None,
-        spectators: bool = False,
-        spectator_broadcast: str = "delta",
-        epoch_log: str | None = None,
-        epoch_log_checkpoint_every: int = 64,
-        epoch_log_fsync: str = "checkpoint",
-        metrics: bool = False,
-        trace_path: str | None = None,
-        slow_tick_factor: float | None = None,
+        **engine,
     ):
+        owned = [name for name in _BATTLE_OWNED if name in engine]
+        if owned:
+            raise TypeError(
+                f"BattleSimulation sets {', '.join(owned)} itself; "
+                "it cannot be passed in"
+            )
         self.schema = battle_schema()
         make = uniform_battle if formation == "uniform" else two_army_battle
         if formation not in ("uniform", "two_army"):
@@ -196,38 +133,13 @@ class BattleSimulation:
         self.resurrection = resurrection
         self.summary = BattleSummary()
         self._next_key = n_units
-        # the picklable construction recipe: recorded in save files and
-        # epoch-log metadata so load()/recover() rebuild an equivalent
-        # simulation before restoring the rows (epoch-log knobs stay
-        # out -- recovery re-attaches the log explicitly)
-        self._ctor_kwargs = dict(
+        self._scenario = dict(
             n_units=n_units,
             density=density,
-            mode=mode,
             formation=formation,
             composition=dict(composition) if composition else None,
             seed=seed,
             resurrection=resurrection,
-            optimize_aoe=optimize_aoe,
-            cascade=cascade,
-            index_maintenance=index_maintenance,
-            incremental_threshold=incremental_threshold,
-            auto_policy=auto_policy,
-            num_shards=num_shards,
-            shard_by=shard_by,
-            parallelism=parallelism,
-            max_workers=max_workers,
-            worker_broadcast=worker_broadcast,
-            workers=workers if workers == "local" else list(workers),
-            worker_scope=worker_scope,
-            worker_timeout=worker_timeout,
-            worker_max_frame=worker_max_frame,
-            spectators=spectators,
-            spectator_broadcast=spectator_broadcast,
-            # trace_path stays out too: a loaded run re-tracing over the
-            # original trace file would clobber it
-            metrics=metrics,
-            slow_tick_factor=slow_tick_factor,
         )
 
         script_by_type = self.scripts
@@ -235,43 +147,23 @@ class BattleSimulation:
         def script_for(row: Mapping[str, object]):
             return script_by_type[row["unittype"]]
 
+        # the battle attaches the log itself, to log its counters and
+        # construction recipe alongside every epoch
+        epoch_log = engine.pop("epoch_log", None)
         self.engine = SimulationEngine(
             self.env,
             self.registry,
             script_for,
             self._mechanics,
             EngineConfig(
-                mode=mode,
-                optimize_aoe=optimize_aoe,
-                cascade=cascade,
                 seed=seed,
-                index_maintenance=index_maintenance,
-                incremental_threshold=incremental_threshold,
-                auto_policy=auto_policy,
-                num_shards=num_shards,
-                shard_by=shard_by,
                 spatial_extent=self.grid_size,
-                parallelism=parallelism,
-                max_workers=max_workers,
-                worker_broadcast=worker_broadcast,
-                workers=workers,
-                worker_scope=worker_scope,
-                worker_timeout=worker_timeout,
-                worker_max_frame=worker_max_frame,
                 worker_factory=battle_worker_game,
-                spectators=spectators,
-                spectator_broadcast=spectator_broadcast,
-                metrics=metrics,
-                trace_path=trace_path,
-                slow_tick_factor=slow_tick_factor,
+                **engine,
             ),
         )
         if epoch_log:
-            self.attach_epoch_log(
-                epoch_log,
-                checkpoint_every=epoch_log_checkpoint_every,
-                fsync=epoch_log_fsync,
-            )
+            self.attach_epoch_log(epoch_log)
 
     # -- public API -----------------------------------------------------------
 
@@ -343,20 +235,14 @@ class BattleSimulation:
 
     # -- persistence: save/load, the epoch log, crash recovery -----------------
 
-    def attach_epoch_log(
-        self,
-        path: str,
-        *,
-        resume: bool = False,
-        checkpoint_every: int | None = None,
-        fsync: str | None = None,
-    ):
+    def attach_epoch_log(self, path: str, *, resume: bool = False):
         """Start (or, with *resume*, continue) the durable epoch log.
 
         Wires the engine's log hook to this battle's counters: every
         epoch record carries the :class:`BattleSummary` numbers, and the
-        log metadata carries the construction kwargs, so
-        :meth:`recover` can rebuild the battle from the log alone.
+        log metadata carries the construction recipe, so :meth:`recover`
+        can rebuild the battle from the log alone.  Cadence and fsync
+        policy come from the engine config.
         """
         return self.engine.attach_epoch_log(
             path,
@@ -365,12 +251,23 @@ class BattleSimulation:
             meta={
                 "game": "repro.game.battle",
                 "format": SAVE_FORMAT,
-                "kwargs": self._ctor_kwargs,
+                "kwargs": self._recipe(),
                 "grid_size": self.grid_size,
             },
-            checkpoint_every=checkpoint_every,
-            fsync=fsync,
         )
+
+    def _recipe(self) -> dict:
+        """The picklable construction kwargs recorded in save files and
+        log metadata: the scenario plus the engine config's fields."""
+        cfg = self.engine.config
+        return {
+            **self._scenario,
+            **{
+                f.name: getattr(cfg, f.name)
+                for f in fields(cfg)
+                if f.name not in _UNRECORDED
+            },
+        }
 
     def _persist_state(self) -> dict:
         """The battle-level state logged/saved alongside the rows.
@@ -424,7 +321,7 @@ class BattleSimulation:
             {
                 "format": SAVE_FORMAT,
                 "game": "repro.game.battle",
-                "kwargs": self._ctor_kwargs,
+                "kwargs": self._recipe(),
                 "grid_size": self.grid_size,
                 "epoch": epoch,
                 "rows": self.engine.env.rows,
@@ -476,8 +373,10 @@ class BattleSimulation:
         counters are durable, rebuilds the simulation from the recorded
         construction kwargs, and -- with *resume_log* (default) --
         re-attaches the same log in append mode, starting with a fresh
-        checkpoint.  Running the recovered battle forward produces a
-        trajectory bit-identical to one that never crashed.
+        checkpoint, under the log's recorded cadence and fsync policy
+        unless *overrides* replace them.  Running the recovered battle
+        forward produces a trajectory bit-identical to one that never
+        crashed.
         """
         from ..persist.log import (
             EpochLogError,
@@ -524,22 +423,16 @@ class BattleSimulation:
         state: dict,
         overrides: dict,
     ) -> "BattleSimulation":
-        merged = dict(kwargs)
-        overrides = dict(overrides)
+        merged = {**kwargs, **overrides}
         # the log attaches after the rows are restored, never during
         # construction -- the scenario's initial rows must not be logged
         # as if they were the resumed state
-        epoch_log = overrides.pop("epoch_log", None)
-        checkpoint_every = overrides.pop("epoch_log_checkpoint_every", None)
-        fsync = overrides.pop("epoch_log_fsync", None)
-        merged.update(overrides)
+        epoch_log = merged.pop("epoch_log", None)
         sim = cls(**merged)
         try:
             sim._restore(epoch, rows, state)
             if epoch_log:
-                sim.attach_epoch_log(
-                    epoch_log, checkpoint_every=checkpoint_every, fsync=fsync
-                )
+                sim.attach_epoch_log(epoch_log)
         except BaseException:
             sim.close()
             raise

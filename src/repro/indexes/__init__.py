@@ -1,7 +1,7 @@
 """Index structures for aggregate queries (Section 5.3).
 
-* :class:`RangeTree` / :class:`LayeredRangeTree2D` -- orthogonal range
-  enumeration with optional fractional cascading;
+* :class:`LayeredRangeTree2D` -- 2-d orthogonal range enumeration with
+  optional fractional cascading;
 * :class:`AggRangeTree2D` / :class:`PrefixAggregate1D` -- divisible
   aggregates at the leaves (Figure 8);
 * :func:`sweep_minmax` / :func:`sweep_arg_minmax` -- sweep-line min/max
@@ -23,7 +23,7 @@ from .divisible import MOMENT_AGGREGATES, Moments, MomentVector, is_divisible
 from .hash_layer import PartitionedIndex
 from .interval_agg import IntervalAggregateIndex
 from .kdtree import KDTree, build_kdtree_from_rows
-from .range_tree import LayeredRangeTree2D, RangeTree
+from .range_tree import LayeredRangeTree2D
 from .sweepline import sweep_arg_minmax, sweep_minmax
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "MomentVector",
     "PartitionedIndex",
     "PrefixAggregate1D",
-    "RangeTree",
     "build_kdtree_from_rows",
     "is_divisible",
     "partitioned_agg_tree",

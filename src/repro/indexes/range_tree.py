@@ -1,21 +1,14 @@
-"""Layered range trees for orthogonal range queries (Section 5.3.1).
+"""Layered range tree for 2-d orthogonal range queries (Section 5.3.1).
 
-Two implementations:
+:class:`LayeredRangeTree2D` has optional **fractional cascading**
+[Chazelle & Guibas]: every canonical x-node stores its y-sorted array
+together with *bridge* pointers into its children's arrays, so the
+y-range is located with a single binary search at the root and O(1)
+work per visited node afterwards.  This is the paper's
+O(log^{d-1} n + k) query structure, and the sweep-line ablation bench
+uses it as option (b), enumerate-then-min.
 
-* :class:`RangeTree` -- a general d-dimensional layered range tree.
-  Each level is a balanced tree over one attribute whose canonical nodes
-  hold a (d-1)-dimensional subtree; the last level is a sorted array.
-  Build O(n log^{d-1} n), query O(log^d n + k).
-
-* :class:`LayeredRangeTree2D` -- the 2-d special case with optional
-  **fractional cascading** [Chazelle & Guibas]: every canonical x-node
-  stores its y-sorted array together with *bridge* pointers into its
-  children's arrays, so the y-range is located with a single binary
-  search at the root and O(1) work per visited node afterwards.  This is
-  the paper's O(log^{d-1} n + k) query structure, and the ablation bench
-  A-FC compares cascading on/off.
-
-Both support enumeration and counting.  The divisible-aggregate variant
+It supports enumeration and counting.  The divisible-aggregate variant
 of Figure 8 (aggregates at the leaves instead of items) lives in
 :mod:`repro.indexes.agg_range_tree` and shares the 2-d skeleton.
 """
@@ -24,117 +17,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from typing import Callable, Sequence
-
-
-# ---------------------------------------------------------------------------
-# General d-dimensional range tree
-# ---------------------------------------------------------------------------
-
-
-class _DNode:
-    __slots__ = ("min_key", "max_key", "left", "right", "sub", "leaf_entries")
-
-    def __init__(self, min_key, max_key):
-        self.min_key = min_key
-        self.max_key = max_key
-        self.left: "_DNode | None" = None
-        self.right: "_DNode | None" = None
-        self.sub: object = None  # next-level tree or sorted array
-        self.leaf_entries: list | None = None
-
-
-class RangeTree:
-    """d-dimensional layered range tree over ``(coords, item)`` entries.
-
-    *coords* are tuples of length d; queries give per-dimension closed
-    intervals ``(lo, hi)`` (use ±inf for open sides).
-    """
-
-    def __init__(
-        self,
-        coords: Sequence[Sequence[float]],
-        items: Sequence[object] | None = None,
-    ):
-        if items is None:
-            items = list(range(len(coords)))
-        if len(items) != len(coords):
-            raise ValueError("coords and items must have equal length")
-        self._size = len(coords)
-        entries = [(tuple(c), item) for c, item in zip(coords, items)]
-        self.dims = len(entries[0][0]) if entries else 0
-        self._root = self._build(entries, dim=0) if entries else None
-
-    def __len__(self) -> int:
-        return self._size
-
-    def _build(self, entries: list, dim: int):
-        last = dim == self.dims - 1
-        entries = sorted(entries, key=lambda e: e[0][dim])
-        if last:
-            return entries  # sorted array level
-        return self._build_node(entries, dim)
-
-    def _build_node(self, entries: list, dim: int) -> _DNode:
-        node = _DNode(entries[0][0][dim], entries[-1][0][dim])
-        node.sub = self._build(entries, dim + 1)
-        if len(entries) > 1:
-            mid = len(entries) // 2
-            node.left = self._build_node(entries[:mid], dim)
-            node.right = self._build_node(entries[mid:], dim)
-        else:
-            node.leaf_entries = entries
-        return node
-
-    # -- queries --------------------------------------------------------------
-
-    def enumerate(self, box: Sequence[tuple[float, float]]) -> list[object]:
-        """All items whose coords fall in the closed *box*."""
-        if self._root is None:
-            return []
-        if len(box) != self.dims:
-            raise ValueError(f"box must have {self.dims} intervals")
-        out: list[object] = []
-        self._query_level(self._root, box, 0, out.append)
-        return out
-
-    def count(self, box: Sequence[tuple[float, float]]) -> int:
-        return len(self.enumerate(box))
-
-    def _query_level(self, level, box, dim: int, emit) -> None:
-        """Query one layer: a sorted array (last dim) or a tree of nodes."""
-        if dim == self.dims - 1:
-            lo, hi = box[dim]
-            start = bisect_left(level, lo, key=lambda e: e[0][dim])
-            stop = bisect_right(level, hi, key=lambda e: e[0][dim])
-            for _, item in level[start:stop]:
-                emit(item)
-            return
-        self._query_node(level, box, dim, emit)
-
-    def _query_node(
-        self,
-        node: _DNode,
-        box: Sequence[tuple[float, float]],
-        dim: int,
-        emit: Callable[[object], None],
-    ) -> None:
-        lo, hi = box[dim]
-        if node.max_key < lo or node.min_key > hi:
-            return
-        if lo <= node.min_key and node.max_key <= hi:
-            # canonical node: restrict the remaining dims in its subtree
-            self._query_level(node.sub, box, dim + 1, emit)
-            return
-        if node.left is None:
-            coords, item = node.leaf_entries[0]
-            if all(
-                box[d][0] <= coords[d] <= box[d][1]
-                for d in range(dim, self.dims)
-            ):
-                emit(item)
-            return
-        self._query_node(node.left, box, dim, emit)
-        self._query_node(node.right, box, dim, emit)
 
 
 # ---------------------------------------------------------------------------

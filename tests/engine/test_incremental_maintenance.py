@@ -69,8 +69,14 @@ class TestEvaluatorDeltaMaintenance:
         self, schema, registry, maintenance
     ):
         env = make_env(schema, n=30, grid=30, seed=21)
+        # the threshold policy makes "auto" take every delta here by
+        # construction; the wall-clock EWMA policy is covered by
+        # test_maintenance_policies.py
         evaluator = IndexedEvaluator(
-            registry, maintenance=maintenance, incremental_threshold=0.9
+            registry,
+            maintenance=maintenance,
+            incremental_threshold=0.9,
+            auto_policy="threshold",
         )
         naive = NaiveEvaluator()
         evaluator.begin_tick(env)

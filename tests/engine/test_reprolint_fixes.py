@@ -115,22 +115,6 @@ class TestShardIdCachePinsRows:
             assert sim.state_signature() == baseline
 
 
-class TestPreparedAggregateOrder:
-    """The staged pipeline now feeds ``prepare`` a sorted hint list, so
-    index build order is canonical rather than set-iteration order; the
-    parallel engines must still replay the serial game exactly."""
-
-    @pytest.mark.parametrize("seed", [5, 17])
-    def test_threads_match_serial(self, seed):
-        baseline = battle_signature(ticks=5, seed=seed)
-        assert (
-            battle_signature(
-                ticks=5, seed=seed, parallelism="threads", num_shards=2
-            )
-            == baseline
-        )
-
-
 class TestPlainValueRecordOrder:
     def test_record_lowering_preserves_field_order(self):
         rec = Record({"zeta": 2.0, "alpha": 1.0, "mid": 3.0})

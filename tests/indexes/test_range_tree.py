@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.indexes.range_tree import LayeredRangeTree2D, RangeTree
+from repro.indexes.range_tree import LayeredRangeTree2D
 
 coord = st.integers(-50, 50)
 points2d = st.lists(st.tuples(coord, coord), max_size=60)
@@ -69,39 +69,3 @@ class TestLayeredRangeTree2D:
         with pytest.raises(ValueError):
             LayeredRangeTree2D([(0, 0)], items=[1, 2])
 
-
-class TestGeneralRangeTree:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.tuples(coord, coord, coord), max_size=40),
-        box_side, box_side, box_side,
-    )
-    def test_3d_matches_bruteforce(self, points, bx, by, bz):
-        tree = RangeTree(points)
-        box = [bx, by, bz]
-        got = sorted(tree.enumerate(box))
-        expected = sorted(
-            i for i, p in enumerate(points)
-            if all(lo <= c <= hi for c, (lo, hi) in zip(p, box))
-        )
-        assert got == expected
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(coord), max_size=40), box_side)
-    def test_1d_matches_bruteforce(self, points, bx):
-        tree = RangeTree(points)
-        got = sorted(tree.enumerate([bx]))
-        expected = sorted(
-            i for i, (x,) in enumerate(points) if bx[0] <= x <= bx[1]
-        )
-        assert got == expected
-
-    def test_dimension_mismatch_rejected(self):
-        import pytest
-
-        tree = RangeTree([(0, 0)])
-        with pytest.raises(ValueError):
-            tree.enumerate([(0, 1)])
-
-    def test_empty(self):
-        assert RangeTree([]).enumerate([]) == []

@@ -21,7 +21,6 @@ BASE = dict(density=0.02, seed=29)
 
 MODES = {
     "serial": {},
-    "threads": dict(parallelism="threads", num_shards=2),
     "processes": dict(parallelism="processes", num_shards=2, max_workers=2),
 }
 
@@ -146,3 +145,55 @@ def test_wrong_file_kinds_are_refused(tmp_path):
         BattleSimulation.load(payload_log)
     with pytest.raises(EpochLogError):
         BattleSimulation.recover(save, resume_log=False)
+
+
+def test_recover_and_load_keep_durability_knobs(tmp_path):
+    """A log's cadence and fsync policy survive recover() and load();
+    explicit overrides win, and the live writer agrees with the config."""
+    log = tmp_path / "battle.log"
+    save = tmp_path / "battle.save"
+    with BattleSimulation(
+        16,
+        density=0.02,
+        seed=3,
+        epoch_log=str(log),
+        epoch_log_fsync="always",
+        epoch_log_checkpoint_every=4,
+    ) as sim:
+        sim.run(3)
+        sim.save(save)
+
+    def durability(sim):
+        writer, cfg = sim.engine.epoch_log, sim.engine.config
+        assert writer.fsync == cfg.epoch_log_fsync
+        assert writer.checkpoint_every == cfg.epoch_log_checkpoint_every
+        return writer.fsync, writer.checkpoint_every
+
+    with BattleSimulation.recover(log) as sim:
+        assert durability(sim) == ("always", 4)
+        assert sim.engine.config.epoch_log == log
+    with BattleSimulation.recover(log, epoch_log_fsync="never") as sim:
+        assert durability(sim) == ("never", 4)
+    resumed = tmp_path / "resumed.log"
+    with BattleSimulation.load(
+        save, epoch_log=str(resumed), epoch_log_checkpoint_every=8
+    ) as sim:
+        assert durability(sim) == ("always", 8)
+        assert sim.engine.config.epoch_log == str(resumed)
+
+
+def test_save_with_retired_threads_mode_resumes_serially(tmp_path, reference):
+    from repro.persist.log import read_state_file, write_state_file
+
+    save = tmp_path / "battle.save"
+    with BattleSimulation(N_UNITS, **BASE) as sim:
+        sim.run(SPLIT)
+        sim.save(save)
+    epoch, payload = read_state_file(str(save))
+    payload["kwargs"].update(parallelism="threads", num_shards=2)
+    write_state_file(str(save), epoch, payload)
+    with pytest.raises(ValueError, match="unknown parallelism 'threads'"):
+        BattleSimulation.load(save)
+    with BattleSimulation.load(save, parallelism="serial") as sim:
+        sim.run(TOTAL - SPLIT)
+        assert_matches_reference(sim, reference)
